@@ -14,10 +14,17 @@ use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
+/// Inputs folded per pass over a row's accumulators: one load and store
+/// of each accumulator covers this many multiply-adds.
+const INPUTS_PER_PASS: usize = 4;
+
+/// Rows of a block that share one read of the weight matrix.
+const ROWS_PER_GROUP: usize = 8;
+
 /// One dense layer: `y = W x + b`.
 #[derive(Debug, Clone)]
 pub struct Dense {
-    weights: Vec<f32>, // row-major [out][in]
+    weights: Vec<f32>, // input-major [in][out]
     bias: Vec<f32>,
     in_dim: usize,
     out_dim: usize,
@@ -25,12 +32,19 @@ pub struct Dense {
 
 impl Dense {
     /// Creates a layer with Xavier-uniform weights drawn from `rng`.
+    ///
+    /// Weights are drawn output by output (`W[o][i]`, `i` fastest) and
+    /// stored input-major: the draw order is part of what a seed means,
+    /// and the golden test in this module pins it.
     pub fn random<R: Rng>(in_dim: usize, out_dim: usize, rng: &mut R) -> Self {
         assert!(in_dim > 0 && out_dim > 0, "degenerate layer shape");
         let limit = (6.0 / (in_dim + out_dim) as f32).sqrt();
-        let weights = (0..in_dim * out_dim)
-            .map(|_| rng.gen_range(-limit..limit))
-            .collect();
+        let mut weights = vec![0.0; in_dim * out_dim];
+        for o in 0..out_dim {
+            for slot in weights[o..].iter_mut().step_by(out_dim) {
+                *slot = rng.gen_range(-limit..limit);
+            }
+        }
         let bias = vec![0.0; out_dim];
         Self {
             weights,
@@ -53,7 +67,8 @@ impl Dense {
 
     /// Allocation-free form of [`Dense::forward`]: `out` is cleared and
     /// refilled (no allocation once its capacity reaches the layer
-    /// width).
+    /// width). This is [`Dense::forward_block_into`] on a block of one
+    /// row, so it folds every output in the same order.
     ///
     /// # Panics
     ///
@@ -61,10 +76,8 @@ impl Dense {
     pub fn forward_into(&self, input: &[f32], out: &mut Vec<f32>) {
         assert_eq!(input.len(), self.in_dim, "layer input dimension mismatch");
         out.clear();
-        out.extend((0..self.out_dim).map(|o| {
-            let row = &self.weights[o * self.in_dim..(o + 1) * self.in_dim];
-            row.iter().zip(input).map(|(w, x)| w * x).sum::<f32>() + self.bias[o]
-        }));
+        out.resize(self.out_dim, 0.0);
+        self.forward_block_into(input, self.in_dim, 1, out, self.out_dim);
     }
 
     /// Multiply-accumulate count of one forward pass.
@@ -74,24 +87,27 @@ impl Dense {
 
     /// Applies the affine map to a *block* of `rows` input vectors at
     /// once — the matrix–matrix form of [`Dense::forward_into`] that
-    /// cross-session batched scoring wins with, twice over. The outer
-    /// loop is **weight-row stationary** (each weight row is loaded once
-    /// and dotted against every input row), so a block of `B` rows reads
-    /// the weight matrix once instead of `B` times. And input rows are
-    /// walked four at a time: each row keeps its own accumulator (its
-    /// own exact fold), but the four dependency chains interleave, so
-    /// the float-add latency that serializes a lone dot product overlaps
-    /// across rows. A single frame has no independent rows to interleave
-    /// — this instruction-level parallelism only exists because the
-    /// gather window put several sessions' frames side by side.
+    /// cross-session batched scoring runs once per gather window.
+    ///
+    /// The weights are stored input-major, so input `i` owns one
+    /// contiguous row of `out_dim` weights, and each output row is
+    /// computed as a sequence of axpys: `acc[o] += w[i][o] * x[i]` for
+    /// `i` ascending, from accumulators at `-0.0`, with the bias added
+    /// last. The lanes of an axpy are independent outputs, so the loop
+    /// vectorises across `o`, while each output still folds its products
+    /// one at a time in input order. That is exactly the fold of
+    /// `row.iter().zip(x).map(|(w, x)| w * x).sum::<f32>() + b` over an
+    /// `[out][in]` row (`f32` sums start at `-0.0`, and Rust never fuses
+    /// a multiply and an add), so every output is **bit-identical** to
+    /// the dot-product form, on every path and whatever rows share the
+    /// block. Rows are taken in groups that share each read of the
+    /// weights, so a block of `B` rows reads the weight matrix about
+    /// `B / 8` times instead of `B` times.
     ///
     /// `input` and `out` are caller-owned slices holding one vector per
     /// row at the given strides (`input[r * in_stride ..][.. in_dim]`,
     /// `out[r * out_stride ..][.. out_dim]`); nothing here can grow or
-    /// allocate. Each output element is computed with the exact
-    /// fold order of [`Dense::forward_into`], so every row of the block
-    /// is **bit-identical** to scoring that row alone, regardless of
-    /// which other rows share the block.
+    /// allocate, and the padding past each row's width is not touched.
     ///
     /// # Panics
     ///
@@ -121,37 +137,50 @@ impl Dense {
             out.len() >= (rows - 1) * out_stride + self.out_dim,
             "output block too short for {rows} rows"
         );
-        for o in 0..self.out_dim {
-            let w = &self.weights[o * self.in_dim..(o + 1) * self.in_dim];
-            let b = self.bias[o];
-            let mut r = 0;
-            // Four independent accumulator chains. Each accumulates in
-            // the exact order of `forward_into`'s fold, so every row's
-            // result is bit-identical to scoring it alone; only the
-            // *interleaving* of the four independent chains is new.
-            while r + 4 <= rows {
-                let x0 = &input[r * in_stride..r * in_stride + self.in_dim];
-                let x1 = &input[(r + 1) * in_stride..(r + 1) * in_stride + self.in_dim];
-                let x2 = &input[(r + 2) * in_stride..(r + 2) * in_stride + self.in_dim];
-                let x3 = &input[(r + 3) * in_stride..(r + 3) * in_stride + self.in_dim];
-                let (mut a0, mut a1, mut a2, mut a3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-                for i in 0..self.in_dim {
-                    let wi = w[i];
-                    a0 += wi * x0[i];
-                    a1 += wi * x1[i];
-                    a2 += wi * x2[i];
-                    a3 += wi * x3[i];
-                }
-                out[r * out_stride + o] = a0 + b;
-                out[(r + 1) * out_stride + o] = a1 + b;
-                out[(r + 2) * out_stride + o] = a2 + b;
-                out[(r + 3) * out_stride + o] = a3 + b;
-                r += 4;
+        let (k, n) = (self.in_dim, self.out_dim);
+        for first in (0..rows).step_by(ROWS_PER_GROUP) {
+            let group = first..rows.min(first + ROWS_PER_GROUP);
+            for r in group.clone() {
+                out[r * out_stride..r * out_stride + n].fill(-0.0);
             }
-            while r < rows {
-                let x = &input[r * in_stride..r * in_stride + self.in_dim];
-                out[r * out_stride + o] = w.iter().zip(x).map(|(w, x)| w * x).sum::<f32>() + b;
-                r += 1;
+            for i in (0..k).step_by(INPUTS_PER_PASS) {
+                let end = k.min(i + INPUTS_PER_PASS);
+                let w = &self.weights[i * n..end * n];
+                for r in group.clone() {
+                    let x = &input[r * in_stride + i..r * in_stride + end];
+                    fold_inputs(&mut out[r * out_stride..r * out_stride + n], w, x);
+                }
+            }
+            for r in group {
+                for (acc, b) in out[r * out_stride..r * out_stride + n]
+                    .iter_mut()
+                    .zip(&self.bias)
+                {
+                    *acc += b;
+                }
+            }
+        }
+    }
+}
+
+/// Folds inputs `xs` into one output row: `acc[o] += w[i][o] * xs[i]` for
+/// `i` ascending, where `w` holds `xs.len()` weight rows of `acc.len()`
+/// each. Every product is rounded and added on its own, in input order; a
+/// full pass of [`INPUTS_PER_PASS`] inputs does its four adds per output
+/// while the accumulator sits in a register.
+fn fold_inputs(acc: &mut [f32], w: &[f32], xs: &[f32]) {
+    let n = acc.len();
+    if let [x0, x1, x2, x3] = *xs {
+        let (w0, rest) = w.split_at(n);
+        let (w1, rest) = rest.split_at(n);
+        let (w2, w3) = rest.split_at(n);
+        for ((((a, w0), w1), w2), w3) in acc.iter_mut().zip(w0).zip(w1).zip(w2).zip(w3) {
+            *a = (((*a + w0 * x0) + w1 * x1) + w2 * x2) + w3 * x3;
+        }
+    } else {
+        for (w, &x) in w.chunks_exact(n).zip(xs) {
+            for (a, w) in acc.iter_mut().zip(w) {
+                *a += w * x;
             }
         }
     }
@@ -390,16 +419,22 @@ impl Mlp {
     }
 
     /// Scores a whole utterance into an [`AcousticTable`] of costs
-    /// (negative log-posteriors), with phone id 0 (epsilon) left at cost 0.
+    /// (negative log-posteriors), with phone id 0 (epsilon) left at cost 0:
+    /// one [`Mlp::score_row_into`] per frame over reused activation
+    /// buffers, so every row is bit-identical to the per-row path.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a frame's feature dimension differs from the input
+    /// dimension.
     pub fn score_utterance(&self, features: &[Vec<f32>]) -> AcousticTable {
-        let phones = self.output_dim();
-        AcousticTable::from_fn(features.len(), phones + 1, |frame, phone| {
-            if phone == 0 {
-                0.0
-            } else {
-                -self.log_posteriors(&features[frame])[phone - 1]
-            }
-        })
+        let row_len = self.output_dim() + 1;
+        let (mut x, mut y) = (Vec::new(), Vec::new());
+        let mut costs = vec![0.0; features.len() * row_len];
+        for (frame, row) in features.iter().zip(costs.chunks_exact_mut(row_len)) {
+            self.score_row_into(frame, row, &mut x, &mut y);
+        }
+        AcousticTable::from_row_major(features.len(), row_len, costs)
     }
 
     /// Multiply-accumulate count of one frame's forward pass — used by the
@@ -573,6 +608,178 @@ mod tests {
         let feats = vec![0.0; 8];
         let mut oversized = vec![0.0; mlp.block_scratch_len(2) + 1];
         mlp.log_posteriors_block_into(&feats, 2, &mut oversized);
+    }
+
+    /// FNV-1a over the bit patterns of `values`, continuing from `hash`.
+    fn fnv1a(mut hash: u64, values: &[f32]) -> u64 {
+        for v in values {
+            for byte in v.to_bits().to_le_bytes() {
+                hash ^= u64::from(byte);
+                hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        hash
+    }
+
+    /// Hash of the log-posteriors of `rows` fixed feature rows.
+    fn golden_hash(mlp: &Mlp, rows: usize) -> u64 {
+        let feats = feature_block(mlp, rows, 0x5EED);
+        feats
+            .chunks(mlp.input_dim())
+            .fold(0xcbf2_9ce4_8422_2325, |h, row| {
+                fnv1a(h, &mlp.log_posteriors(row))
+            })
+    }
+
+    #[test]
+    fn log_posteriors_match_golden_bits() {
+        // Pinned on the `[out][in]` dot-product implementation: any change
+        // to the weight draw order or a layer's fold order moves a bit.
+        assert_eq!(
+            golden_hash(&Mlp::new(&[39, 512, 512, 20], 7), 4),
+            0xcc4637b668a1c5d5,
+            "demo-sized MLP"
+        );
+        assert_eq!(
+            golden_hash(&Mlp::kaldi_like(39, 2001, 3), 2),
+            0xe9e844e7d1ba1f2c,
+            "kaldi_like"
+        );
+    }
+
+    /// A layer in the `[out][in]` layout with each output one dot-product
+    /// fold: the form [`Dense`] must reproduce bit for bit.
+    struct NaiveDense {
+        weights: Vec<f32>, // row-major [out][in]
+        bias: Vec<f32>,
+        in_dim: usize,
+    }
+
+    impl NaiveDense {
+        fn forward(&self, x: &[f32]) -> Vec<f32> {
+            self.weights
+                .chunks_exact(self.in_dim)
+                .zip(&self.bias)
+                .map(|(row, b)| row.iter().zip(x).map(|(w, x)| w * x).sum::<f32>() + b)
+                .collect()
+        }
+    }
+
+    /// The same layer twice: [`Dense::random`] and the reference drawn
+    /// from the same seed in `[out][in]` order, sharing a bias.
+    fn layer_pair(in_dim: usize, out_dim: usize, seed: u64, bias: &[f32]) -> (Dense, NaiveDense) {
+        let mut dense = Dense::random(in_dim, out_dim, &mut ChaCha8Rng::seed_from_u64(seed));
+        dense.bias = bias.to_vec();
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let limit = (6.0 / (in_dim + out_dim) as f32).sqrt();
+        let naive = NaiveDense {
+            weights: (0..in_dim * out_dim)
+                .map(|_| rng.gen_range(-limit..limit))
+                .collect(),
+            bias: bias.to_vec(),
+            in_dim,
+        };
+        (dense, naive)
+    }
+
+    /// Bit equality, except that any NaN matches any NaN: Rust does not
+    /// pin the payload or sign of a NaN an operation produces.
+    fn same_bits(a: f32, b: f32) -> bool {
+        a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+    }
+
+    /// Input row `r` of width `dim`: random values with signed zeros and
+    /// subnormals mixed in, `+inf` first on rows 5 and 8, and `-inf`
+    /// last on row 8 (a NaN wherever the two products' signs differ).
+    fn awkward_row(dim: usize, r: usize, rng: &mut ChaCha8Rng) -> Vec<f32> {
+        const SPECIALS: [f32; 6] = [0.0, -0.0, 1e-40, -1e-40, f32::MIN_POSITIVE, -3e-39];
+        let mut x: Vec<f32> = (0..dim)
+            .map(|i| match r + i {
+                j if j % 3 == 0 => SPECIALS[j / 3 % SPECIALS.len()],
+                _ => rng.gen_range(-3.0..3.0),
+            })
+            .collect();
+        if r == 5 || r == 8 {
+            x[0] = f32::INFINITY;
+        }
+        if r == 8 {
+            x[dim - 1] = f32::NEG_INFINITY;
+        }
+        x
+    }
+
+    /// Runs `rows` awkward input rows through `forward_block_into` (at
+    /// strides wider than the layer) and `forward_into`, checking both
+    /// against the reference fold and the padding against writes.
+    fn check_against_reference(
+        dense: &Dense,
+        naive: &NaiveDense,
+        rows: usize,
+        rng: &mut ChaCha8Rng,
+    ) {
+        let (in_dim, out_dim) = (dense.in_dim, dense.out_dim);
+        let (in_stride, out_stride) = (in_dim + 3, out_dim + 2);
+        let mut input = vec![f32::NAN; rows * in_stride];
+        for r in 0..rows {
+            input[r * in_stride..][..in_dim].copy_from_slice(&awkward_row(in_dim, r, rng));
+        }
+        let mut block = vec![42.0; rows * out_stride];
+        dense.forward_block_into(&input, in_stride, rows, &mut block, out_stride);
+        let mut single = Vec::new();
+        for r in 0..rows {
+            let x = &input[r * in_stride..][..in_dim];
+            dense.forward_into(x, &mut single);
+            let block_row = &block[r * out_stride..(r + 1) * out_stride];
+            for (o, want) in naive.forward(x).into_iter().enumerate() {
+                let (b, s) = (block_row[o], single[o]);
+                let at = format!("{in_dim}x{out_dim}, row {r} of {rows}, output {o}");
+                assert!(same_bits(b, want), "block {at}: {b} vs {want}");
+                assert!(same_bits(s, want), "single {at}: {s} vs {want}");
+            }
+            assert!(
+                block_row[out_dim..].iter().all(|&v| v == 42.0),
+                "padding past the layer width was written ({in_dim}x{out_dim})"
+            );
+        }
+    }
+
+    #[test]
+    fn input_major_layer_matches_out_in_dot_products_bit_for_bit() {
+        let mut rng = ChaCha8Rng::seed_from_u64(17);
+        for in_dim in [1usize, 3, 4, 7, 13] {
+            for out_dim in [1usize, 5, 8, 17] {
+                let seed = (in_dim * 100 + out_dim) as u64;
+                // Random biases, and an all-`-0.0` bias that exposes the
+                // sign of a zero sum.
+                let random: Vec<f32> = (0..out_dim).map(|_| rng.gen_range(-1.0..1.0)).collect();
+                for bias in [random, vec![-0.0; out_dim]] {
+                    let (dense, naive) = layer_pair(in_dim, out_dim, seed, &bias);
+                    for rows in 1..=9 {
+                        check_against_reference(&dense, &naive, rows, &mut rng);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn score_utterance_rows_match_score_row_into_bit_for_bit() {
+        let mlp = Mlp::new(&[6, 24, 9], 5);
+        let feats: Vec<Vec<f32>> = feature_block(&mlp, 7, 3)
+            .chunks(6)
+            .map(<[f32]>::to_vec)
+            .collect();
+        let table = mlp.score_utterance(&feats);
+        assert_eq!(table.num_frames(), 7);
+        let (mut x, mut y) = (Vec::new(), Vec::new());
+        let mut row = vec![0.0; mlp.output_dim() + 1];
+        for (frame, f) in feats.iter().enumerate() {
+            mlp.score_row_into(f, &mut row, &mut x, &mut y);
+            let got: Vec<u32> = table.frame_row(frame).iter().map(|v| v.to_bits()).collect();
+            let want: Vec<u32> = row.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, want, "frame {frame}");
+        }
+        assert_eq!(mlp.score_utterance(&[]).num_frames(), 0);
     }
 
     #[test]

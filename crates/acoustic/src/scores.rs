@@ -44,6 +44,17 @@ impl AcousticTable {
         }
     }
 
+    /// Wraps costs already laid out row-major (`num_frames` rows of
+    /// `num_phones`).
+    pub(crate) fn from_row_major(num_frames: usize, num_phones: usize, data: Vec<f32>) -> Self {
+        debug_assert_eq!(data.len(), num_frames * num_phones, "table shape");
+        Self {
+            num_frames,
+            num_phones,
+            data,
+        }
+    }
+
     /// Builds a deterministic random table: costs uniform in `[lo, hi)`.
     ///
     /// Random scores exercise the identical accelerator code path as real

@@ -1,13 +1,15 @@
 //! Microbenchmarks of the simulator's hardware building blocks and the
 //! software substrates: per-operation costs of the cache, hash table, DRAM
-//! model and in-order window, plus the front-end (FFT/MFCC) and the
-//! reference decoder's per-frame step.
+//! model and in-order window, plus the front-end (FFT/MFCC), the MLP
+//! forward pass (one row and one 8-row block) and the reference decoder's
+//! per-frame step.
 
 use asr_accel::config::{AcceleratorConfig, CacheConfig, DesignPoint};
 use asr_accel::hash::HashTable;
 use asr_accel::mem::{Cache, Dram, TrafficKind};
 use asr_accel::prefetch::InOrderWindow;
 use asr_accel::sim::Simulator;
+use asr_acoustic::dnn::Mlp;
 use asr_acoustic::fft::power_spectrum;
 use asr_acoustic::mfcc::{MfccConfig, MfccPipeline};
 use asr_acoustic::scores::AcousticTable;
@@ -101,6 +103,37 @@ fn bench_frontend(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_mlp(c: &mut Criterion) {
+    let mut group = c.benchmark_group("mlp");
+    let mlp = Mlp::new(&[39, 512, 512, 20], 7);
+    let row_len = mlp.output_dim() + 1;
+    let features: Vec<f32> = (0..8 * mlp.input_dim())
+        .map(|i| (i as f32 * 0.37).sin())
+        .collect();
+    group.bench_function("mlp_row_39x512x512x20", |b| {
+        let (mut x, mut y) = (Vec::new(), Vec::new());
+        let mut row = vec![0.0; row_len];
+        b.iter(|| {
+            mlp.score_row_into(
+                black_box(&features[..mlp.input_dim()]),
+                &mut row,
+                &mut x,
+                &mut y,
+            );
+            black_box(row[1])
+        })
+    });
+    group.bench_function("mlp_block_8rows", |b| {
+        let mut out = vec![0.0; 8 * row_len];
+        let mut scratch = vec![0.0; mlp.block_scratch_len(8)];
+        b.iter(|| {
+            mlp.score_block_into(black_box(&features), 8, &mut out, &mut scratch);
+            black_box(out[1])
+        })
+    });
+    group.finish();
+}
+
 fn bench_decoder_and_sim(c: &mut Criterion) {
     let mut group = c.benchmark_group("search");
     group.sample_size(20);
@@ -147,6 +180,7 @@ criterion_group!(
     bench_hash,
     bench_dram_and_window,
     bench_frontend,
+    bench_mlp,
     bench_decoder_and_sim
 );
 criterion_main!(benches);

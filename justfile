@@ -54,6 +54,15 @@ tsan:
 # the tier-1 build+test suite.
 verify: lint model-check test
 
+# The repository benchmark (BENCHMARK.json, e2e_bench/): its own unit
+# tests, then a 3-second untraced stream_dnn smoke that fails unless
+# every transcript matched its reference ("failed": 0 on the last line).
+e2e:
+    cargo test --release --offline --manifest-path e2e_bench/Cargo.toml
+    cargo run --release --quiet --offline --manifest-path e2e_bench/Cargo.toml -- \
+        --workload stream_dnn --seed 1 --seconds 3 --trace 0 \
+        | tail -n 1 | tee /dev/stderr | grep -q '"failed": 0,'
+
 # Decode-throughput benchmark: token-table engine vs the HashMap
 # reference; writes BENCH_decode.json at the repo root.
 bench-decode:
